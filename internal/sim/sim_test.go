@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -102,7 +103,7 @@ func TestRunUntil(t *testing.T) {
 		t.Fatalf("Now = %v, want deadline 10ms", k.Now())
 	}
 	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", k.Pending())
+		t.Fatalf("Pending = %d, want 1 live event left", k.Pending())
 	}
 	// Continue to the remaining event.
 	k.RunUntil(time.Second)
@@ -244,11 +245,223 @@ func TestQuickCancelSubsetProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelThroughput(b *testing.B) {
-	k := NewKernel(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.After(time.Millisecond, func() {})
-		k.Step()
+// Property: any interleaving of Reset, Cancel, one-shot At and Step fires
+// events in the order a reference model predicts, where every arming takes
+// the next sequence number and a cancelled event leaves the queue at once.
+// Every third re-armable event re-arms itself from inside its own callback
+// on its first firing.
+func TestQuickCancelResetModel(t *testing.T) {
+	type armed struct {
+		due Time
+		seq int
 	}
+	f := func(ops []uint16) bool {
+		k := NewKernel(5)
+		var got, want []int
+		ref := map[int]armed{}
+		var refSeq int
+		var refNow Time
+		// rearmed and refRearmed record which events have used their one
+		// self-re-arm, in the kernel and in the model respectively.
+		rearmed, refRearmed := map[int]bool{}, map[int]bool{}
+		selfRearms := func(id int, done map[int]bool) bool { return id < 8 && id%3 == 0 && !done[id] }
+		var events []*Event
+		for id := 0; id < 8; id++ {
+			events = append(events, k.NewEvent(func() {
+				got = append(got, id)
+				if selfRearms(id, rearmed) {
+					rearmed[id] = true
+					events[id].Reset(k.Now() + Time(id+1)*time.Millisecond)
+				}
+			}))
+		}
+		refStep := func() {
+			best, found := 0, false
+			for id, a := range ref {
+				if b := ref[best]; !found || a.due < b.due || (a.due == b.due && a.seq < b.seq) {
+					best, found = id, true
+				}
+			}
+			if !found {
+				return
+			}
+			refNow = ref[best].due
+			delete(ref, best)
+			want = append(want, best)
+			if selfRearms(best, refRearmed) {
+				refRearmed[best] = true
+				ref[best] = armed{refNow + Time(best+1)*time.Millisecond, refSeq}
+				refSeq++
+			}
+		}
+		for _, op := range ops {
+			id := int(op>>2) % len(events)
+			delay := Time(op>>5%8) * time.Millisecond
+			switch op % 4 {
+			case 0:
+				events[id].Reset(k.Now() + delay)
+				ref[id] = armed{refNow + delay, refSeq}
+				refSeq++
+			case 1:
+				events[id].Cancel()
+				delete(ref, id)
+			case 2:
+				// At is Reset on a fresh event: it joins the same queue.
+				nid := len(events)
+				events = append(events, k.At(k.Now()+delay, func() { got = append(got, nid) }))
+				ref[nid] = armed{refNow + delay, refSeq}
+				refSeq++
+			case 3:
+				k.Step()
+				refStep()
+			}
+			if k.Pending() != len(ref) || k.Now() != refNow {
+				return false
+			}
+		}
+		k.Run()
+		for len(ref) > 0 {
+			refStep()
+		}
+		if len(got) != len(want) || k.Pending() != 0 {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCancelLeavesQueueAtOnce(t *testing.T) {
+	k := NewKernel(1)
+	a := k.At(time.Millisecond, func() {})
+	k.At(2*time.Millisecond, func() {})
+	a.Cancel()
+	if k.Pending() != 1 {
+		t.Fatalf("Pending = %d after Cancel, want 1 live event", k.Pending())
+	}
+	a.Cancel()
+	if k.Pending() != 1 {
+		t.Fatalf("Pending = %d after a second Cancel, want 1", k.Pending())
+	}
+}
+
+func TestResetPendingMovesWithFreshSeq(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	rec := func(name string) func() { return func() { got = append(got, name) } }
+	a := k.At(5*time.Millisecond, rec("a"))
+	k.At(5*time.Millisecond, rec("b"))
+	c := k.At(10*time.Millisecond, rec("c"))
+	a.Reset(5 * time.Millisecond) // same instant, now behind b
+	c.Reset(time.Millisecond)     // moves ahead of both
+	if k.Pending() != 3 {
+		t.Fatalf("Pending = %d after re-arming queued events, want 3", k.Pending())
+	}
+	k.Run()
+	if want := "c b a"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+	if k.Now() != 5*time.Millisecond {
+		t.Fatalf("Now = %v, want 5ms", k.Now())
+	}
+}
+
+func TestResetFromOwnFire(t *testing.T) {
+	k := NewKernel(1)
+	var at []Time
+	var e *Event
+	e = k.NewEvent(func() {
+		at = append(at, k.Now())
+		if len(at) < 3 {
+			e.Reset(k.Now() + 10*time.Millisecond)
+		}
+	})
+	if k.Pending() != 0 {
+		t.Fatal("NewEvent armed the event")
+	}
+	e.Reset(time.Millisecond)
+	k.Run()
+	want := []Time{time.Millisecond, 11 * time.Millisecond, 21 * time.Millisecond}
+	if len(at) != len(want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("fired at %v, want %v", at, want)
+		}
+	}
+}
+
+func TestResetClearsCancelled(t *testing.T) {
+	k := NewKernel(1)
+	fired := 0
+	e := k.NewEvent(func() { fired++ })
+	e.Reset(time.Millisecond)
+	e.Cancel()
+	e.Reset(2 * time.Millisecond)
+	if e.Cancelled() {
+		t.Fatal("Cancelled() = true after re-arming")
+	}
+	k.Run()
+	if fired != 1 {
+		t.Fatalf("fired %d times, want 1", fired)
+	}
+}
+
+func TestCancelAfterFireIsNoop(t *testing.T) {
+	k := NewKernel(1)
+	fired := false
+	a := k.At(time.Millisecond, func() {})
+	k.At(2*time.Millisecond, func() { fired = true })
+	k.Step()
+	a.Cancel() // a has fired: must not disturb the queue
+	if k.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", k.Pending())
+	}
+	k.Run()
+	if !fired {
+		t.Fatal("cancelling a fired event removed another event")
+	}
+}
+
+func TestResetPastPanics(t *testing.T) {
+	k := NewKernel(1)
+	e := k.NewEvent(func() {})
+	k.RunUntil(10 * time.Millisecond)
+	defer func() {
+		if recover() == nil {
+			t.Error("re-arming in the past did not panic")
+		}
+	}()
+	e.Reset(5 * time.Millisecond)
+}
+
+// BenchmarkKernelThroughput measures one schedule-and-fire round trip: a
+// one-shot At, and the re-arm form the hypervisor's timers use, which
+// allocates nothing.
+func BenchmarkKernelThroughput(b *testing.B) {
+	b.Run("oneshot", func(b *testing.B) {
+		k := NewKernel(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k.After(time.Millisecond, func() {})
+			k.Step()
+		}
+	})
+	b.Run("rearm", func(b *testing.B) {
+		k := NewKernel(1)
+		e := k.NewEvent(func() {})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.Reset(k.Now() + time.Millisecond)
+			k.Step()
+		}
+	})
 }

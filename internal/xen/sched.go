@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"slices"
 
 	"cloudmonatt/internal/sim"
 )
@@ -14,13 +15,60 @@ type queueEntry struct {
 	tok uint64
 }
 
+// runQueue is a FIFO of queue entries. Popping advances head instead of
+// reslicing, and a full array is compacted over its consumed prefix before
+// it is grown, so a queue in steady state never allocates.
+type runQueue struct {
+	buf  []queueEntry
+	head int
+}
+
+// push appends e at the tail.
+func (q *runQueue) push(e queueEntry) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, e)
+}
+
+// front drops stale entries from the head and returns the vCPU of the
+// first valid one.
+func (q *runQueue) front() (*VCPU, bool) {
+	for q.head < len(q.buf) {
+		e := q.buf[q.head]
+		if e.tok == e.v.tok && e.v.state == StateRunnable {
+			return e.v, true
+		}
+		q.drop()
+	}
+	return nil, false
+}
+
+// drop removes the head entry.
+func (q *runQueue) drop() {
+	q.buf[q.head] = queueEntry{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+}
+
 // PCPU is one physical CPU with its three-priority run queue.
 type PCPU struct {
 	id      int
 	hv      *Hypervisor
-	runq    [numPrios][]queueEntry
+	runq    [numPrios]runQueue
 	current *VCPU
-	endEv   *sim.Event // burst/timeslice expiry of the current vCPU
+	vcpus   []*VCPU // live vCPUs pinned here, in creation order
+
+	// The pCPU's timers, each built once and re-armed: the credit-sampling
+	// tick, the accounting period and the current vCPU's burst/timeslice
+	// expiry.
+	tickEv, acctEv, endEv *sim.Event
 
 	idleTime    sim.Time
 	idleSince   sim.Time
@@ -55,17 +103,21 @@ func (p *PCPU) scheduleTick() {
 	if now := p.hv.k.Now(); due < now {
 		due = now
 	}
-	p.hv.k.At(due, func() {
-		p.tick()
-		p.scheduleTick()
-	})
+	p.tickEv.Reset(due)
 }
 
 func (p *PCPU) scheduleAcct() {
-	p.hv.k.After(p.hv.cfg.AcctPeriod, func() {
-		p.acct()
-		p.scheduleAcct()
-	})
+	p.acctEv.Reset(p.hv.k.Now() + p.hv.cfg.AcctPeriod)
+}
+
+func (p *PCPU) onTick() {
+	p.tick()
+	p.scheduleTick()
+}
+
+func (p *PCPU) onAcct() {
+	p.acct()
+	p.scheduleAcct()
 }
 
 // tick implements sampled credit debiting: whoever runs at the tick instant
@@ -94,21 +146,14 @@ func (p *PCPU) tick() {
 // here earns a weight-proportional share, capped at CreditCap, and its
 // UNDER/OVER class is recomputed.
 func (p *PCPU) acct() {
-	var weights float64
-	var live []*VCPU
-	for _, d := range p.hv.domains {
-		perVCPU := float64(d.Weight) / float64(len(d.vcpus))
-		for _, v := range d.vcpus {
-			if v.pcpu == p && v.state != StateDone {
-				live = append(live, v)
-				weights += perVCPU
-			}
-		}
-	}
-	if len(live) == 0 {
+	if len(p.vcpus) == 0 {
 		return
 	}
-	for _, v := range live {
+	var weights float64
+	for _, v := range p.vcpus {
+		weights += d2w(v.dom)
+	}
+	for _, v := range p.vcpus {
 		share := d2w(v.dom) / weights * float64(p.hv.cfg.CreditsPerAcct)
 		v.credits += int(share)
 		if v.credits > p.hv.cfg.CreditCap {
@@ -143,34 +188,22 @@ func (p *PCPU) maybePreemptCurrent() {
 
 // peek returns the highest-priority valid queued vCPU without removing it.
 func (p *PCPU) peek() (*VCPU, bool) {
-	for prio := 0; prio < int(numPrios); prio++ {
-		q := p.runq[prio]
-		for len(q) > 0 {
-			e := q[0]
-			if e.tok == e.v.tok && e.v.state == StateRunnable {
-				p.runq[prio] = q
-				return e.v, true
-			}
-			q = q[1:]
+	for prio := range p.runq {
+		if v, ok := p.runq[prio].front(); ok {
+			return v, true
 		}
-		p.runq[prio] = q
 	}
 	return nil, false
 }
 
 // pop removes and returns the next vCPU to dispatch.
 func (p *PCPU) pop() (*VCPU, bool) {
-	for prio := 0; prio < int(numPrios); prio++ {
-		q := p.runq[prio]
-		for len(q) > 0 {
-			e := q[0]
-			q = q[1:]
-			if e.tok == e.v.tok && e.v.state == StateRunnable {
-				p.runq[prio] = q
-				return e.v, true
-			}
+	for prio := range p.runq {
+		q := &p.runq[prio]
+		if v, ok := q.front(); ok {
+			q.drop()
+			return v, true
 		}
-		p.runq[prio] = q
 	}
 	return nil, false
 }
@@ -178,7 +211,7 @@ func (p *PCPU) pop() (*VCPU, bool) {
 // enqueue places a runnable vCPU at the tail of its priority queue.
 func (p *PCPU) enqueue(v *VCPU) {
 	v.tokBump()
-	p.runq[v.Priority()] = append(p.runq[v.Priority()], queueEntry{v, v.tok})
+	p.runq[v.Priority()].push(queueEntry{v, v.tok})
 }
 
 // requeue refreshes a queued vCPU's position after its priority changed.
@@ -236,7 +269,7 @@ func (p *PCPU) dispatch(v *VCPU) bool {
 	if runFor > p.hv.cfg.Timeslice {
 		runFor = p.hv.cfg.Timeslice
 	}
-	p.endEv = p.hv.k.After(runFor, p.sliceEnd)
+	p.endEv.Reset(now + runFor)
 	return true
 }
 
@@ -250,7 +283,6 @@ func (p *PCPU) sliceEnd() {
 	p.accountRun(v)
 	p.current = nil
 	p.idleSince = p.hv.k.Now()
-	p.endEv = nil
 	v.state = StateRunnable
 	if v.remaining <= 0 {
 		v.finishBurst()
@@ -268,10 +300,7 @@ func (p *PCPU) preempt() {
 	if v == nil {
 		return
 	}
-	if p.endEv != nil {
-		p.endEv.Cancel()
-		p.endEv = nil
-	}
+	p.endEv.Cancel()
 	p.accountRun(v)
 	p.current = nil
 	p.idleSince = p.hv.k.Now()
@@ -336,18 +365,12 @@ func (v *VCPU) finishBurst() {
 		if delay < 0 {
 			delay = 0
 		}
-		v.wakeEvent = hv.k.After(delay, func() {
-			v.wakeEvent = nil
-			v.wake(true)
-		})
+		v.wakeEv.Reset(hv.k.Now() + delay)
 	case b.Halt:
 		v.state = StateBlocked
 	case b.Block > 0:
 		v.state = StateBlocked
-		v.wakeEvent = hv.k.After(b.Block, func() {
-			v.wakeEvent = nil
-			v.wake(true)
-		})
+		v.wakeEv.Reset(hv.k.Now() + b.Block)
 	default:
 		// Yield: runnable again immediately, tail of its class.
 		v.state = StateRunnable
@@ -361,6 +384,10 @@ func (hv *Hypervisor) SendIPI(target *VCPU) {
 	hv.k.After(hv.cfg.IPILatency, func() { target.wake(true) })
 }
 
+// onWakeTimer fires when a block timer expires or the storage device
+// completes the vCPU's request; like an interrupt, the wakeup boosts.
+func (v *VCPU) onWakeTimer() { v.wake(true) }
+
 // wake transitions a blocked vCPU to runnable. When boost is true and the
 // vCPU is in the UNDER class (and boosting is enabled), it enters BOOST and
 // preempts any lower-priority running vCPU.
@@ -368,10 +395,7 @@ func (v *VCPU) wake(boost bool) {
 	if v.state != StateBlocked {
 		return // spurious wake of a live or finished vCPU
 	}
-	if v.wakeEvent != nil {
-		v.wakeEvent.Cancel()
-		v.wakeEvent = nil
-	}
+	v.wakeEv.Cancel()
 	hv := v.hv()
 	if boost && hv.cfg.BoostEnabled && v.prio == PrioUnder {
 		v.boosted = true
@@ -394,10 +418,7 @@ func (v *VCPU) pause() {
 	switch v.state {
 	case StateRunning:
 		p := v.pcpu
-		if p.endEv != nil {
-			p.endEv.Cancel()
-			p.endEv = nil
-		}
+		p.endEv.Cancel()
 		p.accountRun(v)
 		p.current = nil
 		p.idleSince = p.hv.k.Now()
@@ -407,10 +428,7 @@ func (v *VCPU) pause() {
 		v.tokBump() // invalidate queue entry
 		v.state = StateBlocked
 	case StateBlocked:
-		if v.wakeEvent != nil {
-			v.wakeEvent.Cancel()
-			v.wakeEvent = nil
-		}
+		v.wakeEv.Cancel()
 	}
 }
 
@@ -422,20 +440,17 @@ func (v *VCPU) retire() {
 	hv := v.hv()
 	if v.state == StateRunning {
 		p := v.pcpu
-		if p.endEv != nil {
-			p.endEv.Cancel()
-			p.endEv = nil
-		}
+		p.endEv.Cancel()
 		p.accountRun(v)
 		p.current = nil
 		p.idleSince = hv.k.Now()
 		defer p.pickNext()
 	}
-	if v.wakeEvent != nil {
-		v.wakeEvent.Cancel()
-		v.wakeEvent = nil
-	}
+	v.wakeEv.Cancel()
 	v.tokBump()
 	v.state = StateDone
 	v.doneAt = hv.k.Now()
+	if i := slices.Index(v.pcpu.vcpus, v); i >= 0 {
+		v.pcpu.vcpus = slices.Delete(v.pcpu.vcpus, i, i+1)
+	}
 }

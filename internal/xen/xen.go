@@ -238,7 +238,7 @@ type VCPU struct {
 	lastWake   sim.Time // when the vCPU last became runnable
 	totalRun   sim.Time
 	doneAt     sim.Time
-	wakeEvent  *sim.Event
+	wakeEv     *sim.Event // block-timer or IO-completion wakeup, built once
 	dispatches uint64
 }
 
@@ -337,6 +337,9 @@ func New(k *sim.Kernel, cfg Config, nPCPUs int) *Hypervisor {
 	hv.disk = newIODevice(hv, cfg.DiskBytesPerSec)
 	for i := 0; i < nPCPUs; i++ {
 		p := &PCPU{id: i, hv: hv}
+		p.tickEv = k.NewEvent(p.onTick)
+		p.acctEv = k.NewEvent(p.onAcct)
+		p.endEv = k.NewEvent(p.sliceEnd)
 		hv.pcpus = append(hv.pcpus, p)
 		p.scheduleTick()
 		p.scheduleAcct()
@@ -398,7 +401,9 @@ func (hv *Hypervisor) NewDomain(name string, weight, pin int, programs ...Progra
 			prio:    PrioUnder,
 			credits: hv.cfg.CreditsPerAcct / 3, // modest initial allowance
 		}
+		v.wakeEv = hv.k.NewEvent(v.onWakeTimer)
 		d.vcpus = append(d.vcpus, v)
+		v.pcpu.vcpus = append(v.pcpu.vcpus, v)
 	}
 	hv.domains = append(hv.domains, d)
 	return d

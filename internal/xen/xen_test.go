@@ -299,6 +299,28 @@ func TestDestroyDomainStopsScheduling(t *testing.T) {
 	}
 }
 
+// A destroyed domain leaves credit accounting. While a halted domain
+// shares the pCPU, a spinner earns half of each period's allowance and
+// pays a full one in ticks, so its credits sink to the floor; once the
+// halted domain is destroyed, the spinner earns it all and its balance
+// turns positive after every accounting pass.
+func TestDestroyedDomainLeavesAccounting(t *testing.T) {
+	k, hv := newHV(t, 1)
+	a := hv.NewDomain("a", 256, 0, spinner(5*time.Millisecond))
+	b := hv.NewDomain("b", 256, 0, ProgramFunc(func(Env, *VCPU) Burst { return Burst{Halt: true} }))
+	a.WakeAll()
+	k.RunUntil(50 * time.Millisecond)
+	hv.DestroyDomain(b)
+	best := hv.Config().CreditFloor
+	for k.Now() < time.Second {
+		k.RunUntil(k.Now() + time.Millisecond)
+		best = max(best, a.VCPUs()[0].Credits())
+	}
+	if best <= 0 {
+		t.Fatalf("survivor's credits peaked at %d: the destroyed domain still shares accounting", best)
+	}
+}
+
 func TestTwoPCPUsIndependent(t *testing.T) {
 	k, hv := newHV(t, 2)
 	a := hv.NewDomain("a", 256, 0, spinner(5*time.Millisecond))
@@ -509,5 +531,30 @@ func TestIOWakeGetsBoost(t *testing.T) {
 	}
 	if lat := ranAt - wokeAt; lat > time.Millisecond {
 		t.Fatalf("IO wake latency %v; boost not applied", lat)
+	}
+}
+
+// TestSteadyStateAllocFree pins the simulator's zero-allocation invariant:
+// once the run queues have grown to their working size, ticks, accounting,
+// timeslice expiry, block timers and IO completions re-arm events the
+// hypervisor built up front, so a virtual second of scheduling allocates
+// nothing.
+func TestSteadyStateAllocFree(t *testing.T) {
+	k, hv := newHV(t, 1)
+	hv.NewDomain("spin", 256, 0, spinner(5*time.Millisecond)).WakeAll()
+	hv.NewDomain("block", 256, 0, ProgramFunc(func(Env, *VCPU) Burst {
+		return Burst{Run: time.Millisecond, Block: 3 * time.Millisecond}
+	})).WakeAll()
+	hv.NewDomain("io", 256, 0, ProgramFunc(func(Env, *VCPU) Burst {
+		return Burst{Run: 500 * time.Microsecond, IOBytes: 64 << 10}
+	})).WakeAll()
+	k.RunUntil(5 * time.Second) // warm-up
+	fired := k.Fired()
+	allocs := testing.AllocsPerRun(1, func() { k.RunUntil(k.Now() + time.Second) })
+	if k.Fired()-fired < 1000 {
+		t.Fatalf("only %d events in the measured seconds; the workload is not exercising the scheduler", k.Fired()-fired)
+	}
+	if allocs != 0 {
+		t.Fatalf("a virtual second of scheduling allocated %v objects, want 0", allocs)
 	}
 }
