@@ -16,6 +16,7 @@ package monitor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloudmonatt/internal/guest"
@@ -83,6 +84,12 @@ type Module struct {
 	watches    map[string]*intervalWatch
 	busWatches map[string]*busWatch
 	profiles   map[string]*profileWindow
+
+	// nWatches and nBusWatches mirror len(watches) and len(busWatches),
+	// stored under mu after every change. The run-trace taps read them
+	// without the lock, so a run segment or bus-lock burst on a host with
+	// nothing armed costs one atomic load.
+	nWatches, nBusWatches atomic.Int32
 }
 
 // New creates the Monitor Module, wires the PMU into the hypervisor's run
@@ -137,6 +144,14 @@ func (m *Module) RemoveVM(vid string) {
 	delete(m.watches, vid)
 	delete(m.busWatches, vid)
 	delete(m.profiles, vid)
+	m.countWatches()
+}
+
+// countWatches publishes the armed-watch counts to the taps. Callers hold
+// m.mu.
+func (m *Module) countWatches() {
+	m.nWatches.Store(int32(len(m.watches)))
+	m.nBusWatches.Store(int32(len(m.busWatches)))
 }
 
 // vm looks up a registered VM.
@@ -191,8 +206,13 @@ func (w *intervalWatch) closeInterval() {
 	w.accRun = 0
 }
 
-// observe routes hypervisor run segments to the active PMU watches.
+// observe routes hypervisor run segments to the active PMU watches. It
+// runs for every run segment of every vCPU on the host, so with no watch
+// armed it returns without taking the lock.
 func (m *Module) observe(v *xen.VCPU, start, end sim.Time) {
+	if m.nWatches.Load() == 0 {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, w := range m.watches {
@@ -212,6 +232,7 @@ func (m *Module) StartIntervalWatch(vid string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.watches[vid] = &intervalWatch{dom: vm.Domain}
+	m.countWatches()
 	return nil
 }
 
@@ -222,6 +243,7 @@ func (m *Module) CollectIntervalHistogram(vid string) (properties.Measurement, e
 	w, ok := m.watches[vid]
 	if ok {
 		delete(m.watches, vid)
+		m.countWatches()
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -266,8 +288,12 @@ func (w *busWatch) observe(at sim.Time, count int) {
 	w.bins[idx] += uint64(count)
 }
 
-// observeBus routes bus-lock events to the active watches.
+// observeBus routes bus-lock events to the active watches, returning at
+// once when none is armed.
 func (m *Module) observeBus(v *xen.VCPU, at sim.Time, count int) {
+	if m.nBusWatches.Load() == 0 {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, w := range m.busWatches {
@@ -293,6 +319,7 @@ func (m *Module) StartBusWatch(vid string, window sim.Time) error {
 		start:  m.hv.Kernel().Now(),
 		binLen: window / HistogramBins,
 	}
+	m.countWatches()
 	return nil
 }
 
@@ -302,6 +329,7 @@ func (m *Module) CollectBusTrace(vid string) (properties.Measurement, error) {
 	w, ok := m.busWatches[vid]
 	if ok {
 		delete(m.busWatches, vid)
+		m.countWatches()
 	}
 	m.mu.Unlock()
 	if !ok {

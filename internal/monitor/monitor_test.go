@@ -389,3 +389,63 @@ func TestBusWatchIdleVMIsQuiet(t *testing.T) {
 		}
 	}
 }
+
+// advanceWithModuleLocked runs the kernel for d while the test holds the
+// module mutex, and reports whether it finished: a run-trace tap that
+// takes the lock stalls the kernel until the lock is released.
+func (r *rig) advanceWithModuleLocked(d sim.Time) bool {
+	r.m.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		r.advance(d)
+		close(done)
+	}()
+	var finished bool
+	select {
+	case <-done:
+		finished = true
+	case <-time.After(5 * time.Second):
+	}
+	r.m.mu.Unlock()
+	<-done
+	return finished
+}
+
+func TestTapsSkipLockWhenNothingArmed(t *testing.T) {
+	r := newRig(t, nil)
+	sender := attack.NewBusCovertSender([]attack.Bit{1, 0, 1, 1}, true)
+	r.addVM(t, "vm-b", sender, nil)
+	r.addVM(t, "vm-s", workload.Spinner(10*time.Millisecond), nil)
+	if !r.advanceWithModuleLocked(200 * time.Millisecond) {
+		t.Fatal("run-segment or bus-lock tap took the module lock with no watch armed")
+	}
+
+	// Arming and collecting both kinds leaves nothing armed again.
+	if err := r.m.StartIntervalWatch("vm-s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.StartBusWatch("vm-b", 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if r.m.nWatches.Load() != 1 || r.m.nBusWatches.Load() != 1 {
+		t.Fatalf("armed counts %d/%d, want 1/1", r.m.nWatches.Load(), r.m.nBusWatches.Load())
+	}
+	r.advance(100 * time.Millisecond)
+	if _, err := r.m.CollectIntervalHistogram("vm-s"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.m.CollectBusTrace("vm-b"); err != nil {
+		t.Fatal(err)
+	}
+	// A watch dropped by RemoveVM is disarmed too.
+	if err := r.m.StartIntervalWatch("vm-s"); err != nil {
+		t.Fatal(err)
+	}
+	r.m.RemoveVM("vm-s")
+	if r.m.nWatches.Load() != 0 || r.m.nBusWatches.Load() != 0 {
+		t.Fatalf("armed counts %d/%d after collect and remove, want 0/0", r.m.nWatches.Load(), r.m.nBusWatches.Load())
+	}
+	if !r.advanceWithModuleLocked(200 * time.Millisecond) {
+		t.Fatal("tap took the module lock after every watch was collected")
+	}
+}
