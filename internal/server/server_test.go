@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"cloudmonatt/internal/sim"
 	"cloudmonatt/internal/vclock"
 	"cloudmonatt/internal/wire"
+	"cloudmonatt/internal/xen"
 )
 
 type rig struct {
@@ -225,6 +227,119 @@ func TestDom0AbsorbsCollectionCost(t *testing.T) {
 	r.clock.Advance(time.Second)
 	if r.srv.dom0.TotalRuntime() <= 0 {
 		t.Fatal("Dom0 did no measurement work")
+	}
+}
+
+// TestIdleDom0StaysHalted pins the event-driven Dom0: with no measurement
+// requested, the host VM is never woken, so it never preempts the
+// CPU-bound guest sharing its pCPU.
+func TestIdleDom0StaysHalted(t *testing.T) {
+	r := newRig(t)
+	spec := smallSpec("vm-1", "spinner")
+	spec.Pin = 0 // share Dom0's pCPU
+	if err := r.srv.Launch(spec); err != nil {
+		t.Fatal(err)
+	}
+	dom0 := r.srv.dom0VCPU
+	dispatches, woke := dom0.Dispatches(), dom0.LastWake()
+	r.clock.Advance(time.Second)
+	if got := dom0.Dispatches(); got != dispatches {
+		t.Fatalf("idle Dom0 dispatched %d times in one virtual second", got-dispatches)
+	}
+	if got := dom0.LastWake(); got != woke {
+		t.Fatalf("idle Dom0 woke at %v with no work queued", got)
+	}
+	if info, _ := r.srv.Info("vm-1"); info.Runtime != time.Second {
+		t.Fatalf("guest ran %v of the one second it had pCPU 0 to itself", info.Runtime)
+	}
+}
+
+// TestDom0StartsCollectionAtRequest pins that a measurement's collection
+// work runs in Dom0 from the virtual instant of the request, preempting
+// the guest on its pCPU at once rather than at a later poll.
+func TestDom0StartsCollectionAtRequest(t *testing.T) {
+	r := newRig(t)
+	spec := smallSpec("vm-1", "spinner")
+	spec.Pin = 0
+	if err := r.srv.Launch(spec); err != nil {
+		t.Fatal(err)
+	}
+	type segment struct{ start, end sim.Time }
+	var dom0Runs []segment
+	r.srv.Hypervisor().Observe(xen.RunSegmentFunc(func(v *xen.VCPU, start, end sim.Time) {
+		if v == r.srv.dom0VCPU {
+			dom0Runs = append(dom0Runs, segment{start, end})
+		}
+	}))
+	// An instant off any 5 ms grid.
+	r.clock.Advance(502300 * time.Microsecond)
+	req, _ := properties.MapToMeasurements(properties.CPUAvailability)
+	at := r.clock.Now()
+	if _, err := r.srv.Measure(wire.MeasureRequest{Vid: "vm-1", Req: req, N3: cryptoutil.MustNonce()}); err != nil {
+		t.Fatal(err)
+	}
+	cost := r.srv.cfg.Dom0CostPerCollection
+	want := []segment{{at, at + cost}}
+	if len(dom0Runs) != 1 || dom0Runs[0] != want[0] {
+		t.Fatalf("Dom0 ran %v for a request at %v, want %v", dom0Runs, at, want)
+	}
+}
+
+// TestConcurrentMeasuresDrainDom0 queues collection work from several
+// goroutines while another advances the clock: every queued collection is
+// executed (no wakeup is lost), and under -race it shows Dom0's queue
+// needs no lock of its own. The requests are unwindowed, so the test
+// covers the Dom0 path alone.
+func TestConcurrentMeasuresDrainDom0(t *testing.T) {
+	r := newRig(t)
+	for _, vid := range []string{"vm-1", "vm-2"} {
+		spec := smallSpec(vid, "database")
+		spec.Pin = 0
+		if err := r.srv.Launch(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, _ := properties.MapToMeasurements(properties.RuntimeIntegrity)
+	const workers, each = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*each)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(vid string) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := r.srv.Measure(wire.MeasureRequest{Vid: vid, Req: req, N3: cryptoutil.MustNonce()}); err != nil {
+					errs <- err
+				}
+			}
+		}([]string{"vm-1", "vm-2"}[w%2])
+	}
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.clock.Advance(100 * time.Microsecond)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-stopped
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	r.clock.Advance(100 * time.Millisecond)
+	if got, want := r.srv.dom0.TotalRuntime(), workers*each*r.srv.cfg.Dom0CostPerCollection; got != want {
+		t.Fatalf("Dom0 ran %v, want %v for %d collections", got, want, workers*each)
+	}
+	if st := r.srv.dom0VCPU.State(); st != xen.StateBlocked {
+		t.Fatalf("Dom0 is %v after draining its queue, want blocked", st)
 	}
 }
 

@@ -43,6 +43,16 @@ func (c *Clock) Advance(d time.Duration) {
 	c.k.RunUntil(c.k.Now() + d)
 }
 
+// Do runs f with the clock held, so the changes f makes to the simulation
+// (queueing work for a vCPU and waking it, say) are atomic with respect to
+// Advance: a concurrent Advance runs entirely before or entirely after
+// them. f must not call back into the Clock.
+func (c *Clock) Do(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f()
+}
+
 // Kernel exposes the underlying kernel for entity construction (domain
 // creation etc.). Callers must not run it concurrently with Advance.
 func (c *Clock) Kernel() *sim.Kernel { return c.k }

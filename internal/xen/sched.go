@@ -243,6 +243,7 @@ func (p *PCPU) pickNext() {
 // caller should pick another vCPU.
 func (p *PCPU) dispatch(v *VCPU) bool {
 	now := p.hv.k.Now()
+	v.dispatches++
 	if !v.havePend {
 		b := v.program.NextBurst(p.hv, v)
 		if b.Run < 0 {
@@ -261,7 +262,6 @@ func (p *PCPU) dispatch(v *VCPU) bool {
 	}
 	v.state = StateRunning
 	v.runStart = now
-	v.dispatches++
 	p.current = v
 	p.idleTime += now - p.idleSince
 	p.idleSince = now
@@ -383,6 +383,12 @@ func (v *VCPU) finishBurst() {
 func (hv *Hypervisor) SendIPI(target *VCPU) {
 	hv.k.After(hv.cfg.IPILatency, func() { target.wake(true) })
 }
+
+// Notify delivers an event-channel notification to the vCPU. A blocked
+// vCPU wakes at once and, like an interrupt wakeup, boosts if it is UNDER;
+// a runnable or running one is left as it is and sees the new work at its
+// next burst. This is how a halted Dom0 learns of queued management work.
+func (v *VCPU) Notify() { v.wake(true) }
 
 // onWakeTimer fires when a block timer expires or the storage device
 // completes the vCPU's request; like an interrupt, the wakeup boosts.

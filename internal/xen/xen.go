@@ -275,7 +275,9 @@ func (v *VCPU) TotalRuntime() sim.Time {
 	return t
 }
 
-// Dispatches returns how many times this vCPU has been placed on a pCPU.
+// Dispatches returns how many times the scheduler has picked this vCPU to
+// run, counting picks whose burst consumed no CPU time (a halt, block or
+// IPI transition): each one is a context switch onto the pCPU.
 func (v *VCPU) Dispatches() uint64 { return v.dispatches }
 
 // LastWake returns when the vCPU most recently became runnable; together

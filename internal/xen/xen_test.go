@@ -265,6 +265,39 @@ func TestIPIWakesHaltedVCPU(t *testing.T) {
 	}
 }
 
+func TestNotifyWakesHaltedVCPUAtOnce(t *testing.T) {
+	k, hv := newHV(t, 1)
+	guest := hv.NewDomain("guest", 256, 0, spinner(10*time.Millisecond))
+	guest.WakeAll()
+	work := 0
+	host := hv.NewDomain("host", 512, 0, ProgramFunc(func(env Env, self *VCPU) Burst {
+		if work == 0 {
+			return Burst{Halt: true}
+		}
+		work--
+		return Burst{Run: 200 * time.Microsecond}
+	}))
+	v := host.VCPUs()[0]
+	k.RunUntil(3*time.Millisecond + 300*time.Microsecond)
+	if v.State() != StateBlocked || v.Dispatches() != 0 {
+		t.Fatalf("never-notified vCPU is %v after %d dispatches", v.State(), v.Dispatches())
+	}
+	work = 1
+	v.Notify()
+	if hv.PCPUs()[0].Current() != v || v.Priority() != PrioBoost {
+		t.Fatalf("notified vCPU is %v at %v, running %v; want it boosted onto the pCPU at once",
+			v.State(), v.Priority(), hv.PCPUs()[0].Current())
+	}
+	v.Notify() // running: no effect
+	k.RunUntil(k.Now() + time.Millisecond)
+	if got := v.TotalRuntime(); got != 200*time.Microsecond {
+		t.Fatalf("notified vCPU ran %v, want its one 200us burst", got)
+	}
+	if v.State() != StateBlocked {
+		t.Fatalf("vCPU is %v with no work left, want halted", v.State())
+	}
+}
+
 func TestPauseAndResume(t *testing.T) {
 	k, hv := newHV(t, 1)
 	d := hv.NewDomain("vm", 256, 0, spinner(5*time.Millisecond))
