@@ -158,7 +158,11 @@ type Measurement struct {
 
 // Encode renders the measurement canonically.
 func (m Measurement) Encode() []byte {
-	var out []byte
+	return m.appendEncoding(make([]byte, 0, m.encodedLen()))
+}
+
+// appendEncoding appends Encode's bytes to out.
+func (m Measurement) appendEncoding(out []byte) []byte {
 	appendBytes := func(b []byte) {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
@@ -200,14 +204,48 @@ func (m Measurement) Encode() []byte {
 	return out
 }
 
-// EncodeAll renders a measurement list canonically.
+// encodedLen returns len(m.Encode()) without encoding, so a buffer can be
+// sized once. Every length prefix is 4 bytes; fixed-width fields are 8.
+func (m Measurement) encodedLen() int {
+	n := 4 + len(m.Kind) + 4 + len(m.Digest)
+	n += 4
+	for i, name := range m.LogNames {
+		n += 4 + len(name) + 4
+		if i < len(m.LogSums) {
+			n += len(m.LogSums[i])
+		}
+	}
+	n += 4 + len(m.QuoteSig)
+	n += 4
+	for i := range m.QuotePCR {
+		n += 4 + 4
+		if i < len(m.QuoteVal) {
+			n += len(m.QuoteVal[i])
+		}
+	}
+	n += 4
+	for _, t := range m.Tasks {
+		n += 4 + len(t)
+	}
+	n += 4 + 8*len(m.Counters)
+	n += 8 + 8
+	n += 4 + len(m.Report) + 4 + len(m.VKey) + 4 + len(m.Endorse)
+	return n
+}
+
+// EncodeAll renders a measurement list canonically: a count, then each
+// measurement's encoding behind its length. The buffer is sized up front,
+// since a platform quote's measurement log grows with every launch.
 func EncodeAll(ms []Measurement) []byte {
-	var out []byte
+	size := 4
+	for _, m := range ms {
+		size += 4 + m.encodedLen()
+	}
+	out := make([]byte, 0, size)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(ms)))
 	for _, m := range ms {
-		enc := m.Encode()
-		out = binary.BigEndian.AppendUint32(out, uint32(len(enc)))
-		out = append(out, enc...)
+		out = binary.BigEndian.AppendUint32(out, uint32(m.encodedLen()))
+		out = m.appendEncoding(out)
 	}
 	return out
 }

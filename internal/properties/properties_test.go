@@ -2,6 +2,7 @@ package properties
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
@@ -92,6 +93,72 @@ func TestEncodeAllLengthSensitive(t *testing.T) {
 	two := EncodeAll([]Measurement{m, m})
 	if bytes.Equal(one, two) {
 		t.Fatal("EncodeAll insensitive to list length")
+	}
+}
+
+// referenceEncode is the measurement encoding written field by field into
+// a growing buffer, as the canonical form is specified; the sized encoder
+// must produce the same bytes, since signed evidence and Q3 quotes hash
+// them.
+func referenceEncode(m Measurement) []byte {
+	var out []byte
+	appendBytes := func(b []byte) {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
+		out = append(out, b...)
+	}
+	appendBytes([]byte(m.Kind))
+	appendBytes(m.Digest[:])
+	out = binary.BigEndian.AppendUint32(out, uint32(len(m.LogNames)))
+	for i, n := range m.LogNames {
+		appendBytes([]byte(n))
+		if i < len(m.LogSums) {
+			appendBytes(m.LogSums[i][:])
+		} else {
+			appendBytes(nil)
+		}
+	}
+	appendBytes(m.QuoteSig)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(m.QuotePCR)))
+	for i, p := range m.QuotePCR {
+		out = binary.BigEndian.AppendUint32(out, p)
+		if i < len(m.QuoteVal) {
+			appendBytes(m.QuoteVal[i][:])
+		} else {
+			appendBytes(nil)
+		}
+	}
+	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Tasks)))
+	for _, t := range m.Tasks {
+		appendBytes([]byte(t))
+	}
+	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Counters)))
+	for _, c := range m.Counters {
+		out = binary.BigEndian.AppendUint64(out, c)
+	}
+	out = binary.BigEndian.AppendUint64(out, uint64(m.CPUTime))
+	out = binary.BigEndian.AppendUint64(out, uint64(m.WallTime))
+	appendBytes(m.Report)
+	appendBytes(m.VKey)
+	appendBytes(m.Endorse)
+	return out
+}
+
+func TestQuickEncodeMatchesReference(t *testing.T) {
+	f := func(ms []Measurement) bool {
+		want := binary.BigEndian.AppendUint32(nil, uint32(len(ms)))
+		for _, m := range ms {
+			enc := referenceEncode(m)
+			if !bytes.Equal(m.Encode(), enc) || cap(m.Encode()) != len(enc) {
+				return false
+			}
+			want = binary.BigEndian.AppendUint32(want, uint32(len(enc)))
+			want = append(want, enc...)
+		}
+		got := EncodeAll(ms)
+		return bytes.Equal(got, want) && cap(got) == len(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -101,12 +101,21 @@ type Evidence struct {
 
 // ComputeQ3 computes Q3 = H(Vid‖rM‖M‖N3).
 func ComputeQ3(vid string, req properties.Request, ms []properties.Measurement, n3 cryptoutil.Nonce) [32]byte {
-	return cryptoutil.Hash("Q3", []byte(vid), req.Encode(), properties.EncodeAll(ms), n3[:])
+	return computeQ3(vid, req.Encode(), properties.EncodeAll(ms), n3)
 }
 
-func evidenceBody(e *Evidence) []byte {
+// computeQ3 is ComputeQ3 over already encoded rM and M. The evidence
+// signature covers the same encodings, so building or verifying evidence
+// encodes the (possibly long) measurement list once for both hashes.
+func computeQ3(vid string, reqEnc, msEnc []byte, n3 cryptoutil.Nonce) [32]byte {
+	return cryptoutil.Hash("Q3", []byte(vid), reqEnc, msEnc, n3[:])
+}
+
+// evidenceBody is the digest the evidence signature covers; reqEnc and
+// msEnc are the encodings of e.Req and e.Measurements.
+func evidenceBody(e *Evidence, reqEnc, msEnc []byte) []byte {
 	sum := cryptoutil.Hash("evidence",
-		[]byte(e.Vid), e.Req.Encode(), properties.EncodeAll(e.Measurements), e.N3[:], e.Q3[:], []byte(e.Backend), e.AVK)
+		[]byte(e.Vid), reqEnc, msEnc, e.N3[:], e.Q3[:], []byte(e.Backend), e.AVK)
 	return sum[:]
 }
 
@@ -114,17 +123,18 @@ func evidenceBody(e *Evidence) []byte {
 // session attestation key. backend names the trust backend that rooted the
 // measurements.
 func BuildEvidence(sess *trust.Session, vid string, req properties.Request, ms []properties.Measurement, n3 cryptoutil.Nonce, backend string) *Evidence {
+	reqEnc, msEnc := req.Encode(), properties.EncodeAll(ms)
 	e := &Evidence{
 		Vid:          vid,
 		Req:          req,
 		Measurements: ms,
 		N3:           n3,
-		Q3:           ComputeQ3(vid, req, ms, n3),
+		Q3:           computeQ3(vid, reqEnc, msEnc, n3),
 		Backend:      backend,
 		AVK:          append([]byte(nil), sess.Public()...),
 		Cert:         sess.Cert,
 	}
-	e.Sig = sess.Sign(evidenceBody(e))
+	e.Sig = sess.Sign(evidenceBody(e, reqEnc, msEnc))
 	return e
 }
 
@@ -152,10 +162,11 @@ func VerifyEvidenceWith(e *Evidence, caName string, caKey ed25519.PublicKey, vid
 	if err := pca.VerifyAttestationCertWith(e.Cert, caName, caKey, ed25519.PublicKey(e.AVK), v); err != nil {
 		return fmt.Errorf("wire: attestation key not certified: %w", err)
 	}
-	if !v.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e), e.Sig) {
+	reqEnc, msEnc := e.Req.Encode(), properties.EncodeAll(e.Measurements)
+	if !v.Verify(ed25519.PublicKey(e.AVK), evidenceBody(e, reqEnc, msEnc), e.Sig) {
 		return errors.New("wire: evidence signature invalid")
 	}
-	want3 := ComputeQ3(e.Vid, e.Req, e.Measurements, e.N3)
+	want3 := computeQ3(e.Vid, reqEnc, msEnc, e.N3)
 	if !cryptoutil.ConstEqual(e.Q3[:], want3[:]) {
 		return errors.New("wire: evidence quote Q3 mismatch")
 	}
