@@ -46,3 +46,33 @@ func TestKernelAccess(t *testing.T) {
 		t.Fatal("Kernel() does not return the wrapped kernel")
 	}
 }
+
+// TestDoExcludesAdvance has Do and a periodic kernel event share unguarded
+// state; under -race it fails unless Do holds the clock Advance holds.
+func TestDoExcludesAdvance(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := New(k)
+	queued, served := 0, 0
+	var tick *sim.Event
+	tick = k.NewEvent(func() {
+		served += queued
+		queued = 0
+		tick.Reset(k.Now() + time.Millisecond)
+	})
+	tick.Reset(time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			c.Advance(time.Millisecond)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		c.Do(func() { queued++ })
+	}
+	<-done
+	c.Advance(time.Millisecond)
+	if served != 100 {
+		t.Fatalf("served %d of 100 queued items", served)
+	}
+}
